@@ -9,9 +9,9 @@ flattened, hashable sugar the grids are written in).  Results are also
 persisted under ``benchmarks/results/`` so the regenerated tables survive
 pytest's output capture.
 
-Scale note: runs use the -lite datasets and small models (DESIGN.md section
-1), so absolute accuracies differ from the paper; EXPERIMENTS.md records the
-paper-vs-measured comparison for every experiment.
+Scale note: runs use the -lite datasets and small models, so absolute
+accuracies differ from the paper; each bench's report under
+``benchmarks/results/`` records what it measured.
 """
 
 from __future__ import annotations

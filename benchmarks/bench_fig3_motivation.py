@@ -3,7 +3,7 @@
 Paper: CIFAR-10 ResNet-18, beta = 0.1, IF in {1, 0.1, 0.01}: FedCM beats
 FedAvg when balanced but fails to converge as the tail lengthens.
 
-Substrate note (EXPERIMENTS.md): at laptop scale the catastrophic
+Substrate note: at laptop scale the catastrophic
 non-convergence does not manifest — the reproduced shape is that momentum's
 balanced-data advantage *inverts* under the long tail (FedCM >= FedAvg at
 IF=1, FedCM <= FedAvg at IF <= 0.1).  Averaged over seeds for stability.

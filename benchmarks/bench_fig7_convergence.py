@@ -54,7 +54,7 @@ def bench_fig7_convergence(benchmark):
     report("fig7_convergence", text)
 
     by = {r["method"]: r["tail"] for r in results}
-    # paper shape (directional at this scale, see EXPERIMENTS.md): FedWCM
+    # paper shape (directional at this scale): FedWCM
     # converges, stays competitive with the best method, and no method it is
     # compared against collapses it below a usable accuracy
     assert by["fedwcm"] >= max(by.values()) - 0.08

@@ -215,19 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("fixed", "staleness"),
                        help="async BatchNorm-buffer EMA: fixed 1/window blend, or "
                             "staleness-discounted 1/(window*(1+tau))")
-        p.add_argument("--streaming", action=argparse.BooleanOptionalAction,
-                       default=_SUPPRESS,
-                       help="async dispatch scheduling: submit each job to the "
-                            "backend eagerly (default; overlaps compute with "
-                            "event processing) or --no-streaming for lazy "
-                            "batches — histories are bit-identical either way")
-        p.add_argument("--fast-path", action=argparse.BooleanOptionalAction,
-                       default=_SUPPRESS,
-                       help="async dispatch planning: vectorized control plane "
-                            "(default; incremental idle tracking, batched "
-                            "latency draws and heap inserts) or "
-                            "--no-fast-path for the scalar per-dispatch loop "
-                            "— histories are bit-identical either way")
 
     def add_outputs(p: argparse.ArgumentParser, timed: bool) -> None:
         if timed:
@@ -392,8 +379,6 @@ _ASYNC_MAP = (
     ("job_batch", "runtime.job_batch"),
     ("shared_memory", "runtime.shared_memory"),
     ("buffer_ema", "runtime.buffer_ema"),
-    ("streaming", "runtime.streaming"),
-    ("fast_path", "runtime.fast_path"),
     ("sampler", "runtime.sampler"),
 )
 

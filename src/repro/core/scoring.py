@@ -18,7 +18,7 @@ Two scarcity modes are provided:
   a long-tailed global distribution the head class also has a large absolute
   deviation, so the literal formula ranks head-heavy clients *above*
   middle-class clients, contradicting the prose; we keep it for completeness
-  and ablation (see DESIGN.md section 4 and the temperature ablation bench).
+  and ablation (see ``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Data substrate: synthetic datasets, long-tail profiles, client partitions.
 
-Replaces the paper's torchvision datasets (see DESIGN.md section 1 for the
-substitution argument).
+Replaces the paper's torchvision datasets with scaled-down synthetic twins
+(:mod:`repro.data.registry`).
 """
 
 from repro.data.longtail import longtail_counts, imbalance_factor_of, apply_longtail

@@ -2,7 +2,7 @@
 
 Each entry fixes the class count and input geometry analogous to the original
 (class counts are exact; spatial sizes and per-class volumes are scaled down
-so a 500-round federated run is feasible on a CPU — see DESIGN.md).
+so a 500-round federated run is feasible on a CPU).
 
 ``load_federated_dataset`` is the one-stop entry point used by benchmarks and
 examples: it builds the long-tailed training set, a *balanced* test set (the

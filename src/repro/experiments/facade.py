@@ -30,7 +30,6 @@ from repro.parallel import (
     resolve_backend,
     resolve_job_batch,
     resolve_shared_memory,
-    resolve_streaming,
 )
 from repro.nn import build_model, make_linear, make_mlp
 from repro.runtime import (
@@ -41,7 +40,6 @@ from repro.runtime import (
     TimeAwareSampler,
     make_latency_model,
     make_sampler,
-    resolve_fast_path,
 )
 from repro.simulation import FLConfig, FederatedSimulation, History
 
@@ -315,10 +313,6 @@ def build(spec: ExperimentSpec):
         algo_builder=algo_builder,
         sampler=_build_sampler(spec, timed=True),
         buffer_ema=rt.buffer_ema,
-        # spec-driven runs opt into the REPRO_STREAMING / REPRO_FAST_PATH
-        # environment defaults, mirroring the backend resolution above
-        streaming=resolve_streaming(rt.streaming, env=True),
-        fast_path=resolve_fast_path(rt.fast_path, env=True),
         loss_builder=loss_builder,
         sampler_builder=sampler_builder,
     )

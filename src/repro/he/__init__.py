@@ -2,7 +2,7 @@
 
 From-scratch Paillier and toy-BFV additive HE plus the BatchCrypt-style
 class-distribution aggregation protocol.  Replaces the paper's TenSEAL
-dependency (see DESIGN.md section 1).
+dependency.
 """
 
 from repro.he.primes import is_probable_prime, random_prime, find_ntt_prime

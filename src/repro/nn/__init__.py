@@ -1,6 +1,6 @@
 """Pure-NumPy neural-network engine with manual backprop.
 
-Substitutes for the paper's PyTorch substrate (see DESIGN.md).  Public
+Substitutes for the paper's PyTorch substrate.  Public
 surface: modules/layers, the model zoo, losses, training helpers and
 flat-vector optimizers.
 """

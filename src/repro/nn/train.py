@@ -11,7 +11,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.nn.functional import accuracy
 from repro.nn.module import Module
 from repro.utils.pytree import ParamSpec, flatten_params
 

@@ -50,7 +50,7 @@ import time
 
 import numpy as np
 
-from repro.observe.snapshot import model_hash, save_snapshot, snapshot_core
+from repro.observe.snapshot import save_snapshot, snapshot_core
 from repro.simulation.serialization import round_record_to_dict
 
 __all__ = ["JOURNAL_SCHEMA_VERSION", "RunRecorder", "journal_path"]

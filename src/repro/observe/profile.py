@@ -31,8 +31,6 @@ clients-per-sec bench prints the full breakdown.
 
 from __future__ import annotations
 
-import time
-
 __all__ = ["PROFILE_PHASES", "HotPathProfiler", "format_hotpath"]
 
 PROFILE_PHASES = (

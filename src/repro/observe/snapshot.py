@@ -43,7 +43,7 @@ __all__ = [
     "model_hash",
 ]
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,

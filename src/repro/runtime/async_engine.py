@@ -17,14 +17,14 @@ against synchronous baselines — per round *and* per simulated second.
 Determinism and parallelism: every client RNG stream is keyed by the
 dispatch sequence number, and event ties break on schedule order, so the
 run is a pure function of the seed.  Client compute goes through a
-pluggable :class:`~repro.parallel.backend.ExecutionBackend`.  With
-``streaming`` on (the default) each dispatch's job is *submitted* to the
-backend the moment it is issued and collected when its virtual completion
-pops, overlapping worker compute with event processing on the pool
-backends; with streaming off (or on the serial backend) the engine batches
-dispatches lazily (training is computed at first need).  Both paths build
-jobs from dispatch-time state and apply results in virtual-time order, so
-their histories are bit-identical.  Because jobs carry packed client state
+pluggable :class:`~repro.parallel.backend.ExecutionBackend`.  On backends
+that hold their own replicas (process pool, threads, remote workers) each
+dispatch's job is *submitted* the moment it is issued and collected when its
+virtual completion pops, overlapping worker compute with event processing;
+on the serial backend, which trains the live algorithm, dispatches batch
+lazily (training is computed at first need).  Both paths build jobs from
+dispatch-time state and apply results in virtual-time order, so histories
+are bit-identical across backends.  Because jobs carry packed client state
 and buffer dicts, stateful methods (SCAFFOLD, FedDyn via
 :class:`~repro.algorithms.AsyncAdapter`) and BatchNorm buffer tracking
 work on *every* backend.
@@ -61,11 +61,9 @@ from repro.parallel.backend import (
     ExecutionBackend,
     make_backend,
     prepare_engine_backend,
-    resolve_streaming,
 )
 from repro.runtime.clock import ConstantLatency, LatencyModel
 from repro.runtime.events import BUFFER_EMA_MODES, AsyncPolicy, EventCore
-from repro.runtime.fastpath import resolve_fast_path
 from repro.runtime.scheduling import ConcurrencyController, resolve_auto_comm
 from repro.simulation.config import FLConfig, resolve_lr_schedule
 from repro.simulation.context import SimulationContext
@@ -114,17 +112,6 @@ class AsyncFederatedSimulation:
             uniform idle draw.
         buffer_ema: ``"fixed"`` (1/window blend, default) or ``"staleness"``
             (stale arrivals discounted like the parameter rule).
-        streaming: submit each dispatch's job to the backend eagerly (True,
-            the default) or accumulate lazy batches (False); None resolves
-            to the default.  Histories are bit-identical either way — the
-            knob only trades wall-clock overlap — and the serial backend
-            always uses the lazy-batch path.
-        fast_path: route dispatch bursts through the vectorized control
-            plane — incremental idle tracking, batched latency draws,
-            batched heap insertion (True, the default); False keeps the
-            scalar per-dispatch loop; None resolves to the default.
-            Histories are bit-identical either way (pinned by
-            ``tests/test_fastpath.py``) — the knob is a debugging opt-out.
         loss_builder / sampler_builder / metric_hooks: as the sync engine.
 
     Notes:
@@ -149,8 +136,6 @@ class AsyncFederatedSimulation:
         algo_builder: Callable | None = None,
         sampler=None,
         buffer_ema: str = "fixed",
-        streaming: bool | None = None,
-        fast_path: bool | None = None,
         loss_builder=None,
         sampler_builder=None,
         metric_hooks: Sequence = (),
@@ -194,8 +179,6 @@ class AsyncFederatedSimulation:
         if self.max_updates < 1:
             raise ValueError(f"max_updates must be >= 1, got {self.max_updates}")
         self.buffer_ema = buffer_ema
-        self.streaming = resolve_streaming(streaming)
-        self.fast_path = resolve_fast_path(fast_path)
         self._workers = workers
         self.backend_name, self._backend, self._algo_builder = prepare_engine_backend(
             backend, workers, algorithm, model_builder, algo_builder
@@ -237,8 +220,6 @@ class AsyncFederatedSimulation:
             concurrency_controller=self.concurrency_controller,
             sampler=self.sampler,
             buffer_ema=self.buffer_ema,
-            streaming=self.streaming,
-            fast_path=self.fast_path,
         )
         core = EventCore(
             self.ctx, self.algorithm, policy, metric_hooks=self.metric_hooks,

@@ -38,7 +38,7 @@ params + packed client state + buffers + broadcast state) and the backend
 methods and BatchNorm buffer tracking work on every backend and the
 histories are bit-identical across them (``tests/test_backends.py``,
 ``tests/test_net.py``).  The hand-off is streaming
-(``submit``/``collect`` through :meth:`EventCore.submit_job` /
+(``submit``/``collect`` through :meth:`EventCore.submit_jobs` /
 :meth:`EventCore.collect_jobs`): the async policy submits each job as its
 dispatch is issued, overlapping worker compute with event processing,
 while round policies submit whole cohorts and collect at the barrier.
@@ -46,10 +46,8 @@ while round policies submit whole cohorts and collect at the barrier.
 Events are typed (:class:`Dispatch`, :class:`Completion`,
 :class:`DeadlineTick`) and ride the deterministic
 :class:`~repro.runtime.clock.VirtualClock`; ties pop in schedule order, so
-every run remains a pure function of its seed.  For the pre-existing knob
-space, all three policies reproduce the retired loops' histories
-bit-for-bit (``tests/test_engine_equivalence.py`` pins this against frozen
-copies of the old code).
+every run remains a pure function of its seed; committed golden histories
+(``tests/test_golden_histories.py``) pin each policy's output.
 """
 
 from __future__ import annotations
@@ -130,10 +128,10 @@ class Completion:
 
     Round policies precompute ``update`` when the dispatch is issued (their
     compute order is the cohort order, not the arrival order — that is what
-    keeps buffer averaging and aggregation sums bit-identical to the
-    synchronous loops); the async policy resolves updates through the
-    backend at completion time — submitted eagerly under streaming
-    dispatch, or as a lazy batch.
+    keeps buffer averaging and aggregation sums independent of arrival
+    order); the async policy resolves updates through the backend at
+    completion time — submitted eagerly to backends that hold their own
+    replicas, or computed as a lazy batch on the serial backend.
     """
 
     dispatch: Dispatch
@@ -306,26 +304,17 @@ class EventCore:
             for r, k in pairs
         ]
 
-    def submit_job(self, job: ClientJob):
-        """Submit one job to the backend; returns its ``JobHandle``.
-
-        The streaming half of the policy/backend choke point: when a
-        recorder is attached the job is stamped to collect timing.  The
-        queue-wait anchor is whichever came first — a policy stamping at
-        dispatch time, this method, or the backend's own submit-time stamp —
-        so journal records report real queueing on every path.
-        """
-        if self.recorder is not None and not job.collect_timing:
-            job = replace(job, collect_timing=True, submitted_at=time.monotonic())
-        return self.backend.submit(job)
-
     def submit_jobs(self, jobs: list[ClientJob]) -> list:
         """Batch submit through ``backend.submit_many``; handles in order.
 
-        Same timing stamps as :meth:`submit_job`, one backend call: batching
-        backends (pool ``job_batch``, the remote service) amortize a pickle
-        + transport round-trip across the list.  Identity-safe for the same
-        reason streaming is: every job is already stamped from
+        The submitting half of the policy/backend choke point: when a
+        recorder is attached each job is stamped to collect timing.  The
+        queue-wait anchor is whichever came first — a policy stamping at
+        dispatch time, this method, or the backend's own submit-time stamp —
+        so journal records report real queueing on every path.  One backend
+        call: batching backends (pool ``job_batch``, the remote service)
+        amortize a pickle + transport round-trip across the list.
+        Identity-safe because every job is already stamped from
         dispatch-time state before it gets here.
         """
         if self.recorder is not None:
@@ -562,8 +551,7 @@ class BarrierPolicy(_RoundPolicy):
 
     Every cohort member is dispatched at virtual delay 0, so completions pop
     in cohort order before the barrier tick; no latency model, no timing
-    fields — histories are plain :class:`RoundRecord` sequences, bit-equal
-    to the retired ``FederatedSimulation`` loop.
+    fields — histories are plain :class:`RoundRecord` sequences.
     """
 
     def open_round(self, core: EventCore, r: int) -> None:
@@ -813,11 +801,9 @@ class DeadlinePolicy(_RoundPolicy):
 class AsyncPolicy:
     """Continuous staleness-aware dispatch (FedAsync / FedBuff).
 
-    The direct translation of the retired ``AsyncFederatedSimulation`` loop
-    onto the core: a bounded population of in-flight dispatches, each
-    completion applied through ``server_apply`` and immediately replaced.
-    Additions over the old loop, all default-off so existing runs stay
-    bit-identical:
+    A bounded population of in-flight dispatches, each completion applied
+    through ``server_apply`` and immediately replaced.  Optional behaviour,
+    all off by default:
 
     * ``sampler`` — a :class:`~repro.runtime.scheduling.TimeAwareSampler`
       consulted per dispatch (``pick_next(idle, now)``) instead of the
@@ -836,15 +822,18 @@ class AsyncPolicy:
 
     Compute scheduling: every dispatch builds its :class:`ClientJob` from
     *dispatch-time* server state (broadcast vector, packed client state, a
-    copy of the buffer EMA, packed broadcast state).  With ``streaming``
-    on (the default) and a backend that does not share live state, the job
-    is submitted the moment the dispatch is issued — workers compute while
-    the event loop keeps processing — and ``on_completion`` collects it
-    when its virtual arrival pops.  With streaming off (or on the serial
-    backend) jobs accumulate and run as one lazy batch at first need.
-    Because the job inputs are identical either way and results always
-    apply in virtual-time completion order, the two paths produce
-    bit-identical histories (``tests/test_backends.py`` pins this).
+    copy of the buffer EMA, packed broadcast state).  On a backend that
+    does not share live state the job is submitted the moment the dispatch
+    is issued — workers compute while the event loop keeps processing — and
+    ``on_completion`` collects it when its virtual arrival pops.  On the
+    serial backend (``shares_state``) jobs accumulate and run as one lazy
+    batch at first need.  Because the job inputs are identical either way
+    and results always apply in virtual-time completion order, histories
+    are bit-identical across backends (``tests/test_backends.py``).
+
+    The :class:`~repro.runtime.fastpath.IdleTracker` is the only record of
+    which clients are busy; a burst of dispatches is planned in one pass
+    (:meth:`_dispatch_many`).
     """
 
     uses_state_store = True
@@ -858,8 +847,6 @@ class AsyncPolicy:
         concurrency_controller=None,
         sampler=None,
         buffer_ema: str = "fixed",
-        streaming: bool = True,
-        fast_path: bool = True,
     ) -> None:
         if buffer_ema not in BUFFER_EMA_MODES:
             raise ValueError(
@@ -872,18 +859,6 @@ class AsyncPolicy:
         self.concurrency_controller = concurrency_controller
         self.sampler = sampler
         self.buffer_ema = buffer_ema
-        self.streaming = bool(streaming)
-        #: vectorized dispatch planning (idle tracker + batched latency
-        #: draws + batched heap insertion); bit-identical to the scalar
-        #: per-dispatch path, so on by default — the knob is a debugging
-        #: opt-out (runtime.fast_path / REPRO_FAST_PATH)
-        self.fast_path = bool(fast_path)
-        # set here as well as in begin() so resumed runs (begin is skipped;
-        # pre-streaming snapshots carry neither attribute) stay runnable
-        self._handles: dict[int, object] = {}
-        self._jobs: dict[int, ClientJob] = {}
-        self._burst: list[tuple[int, ClientJob]] = []
-        self._tracker: IdleTracker | None = None
 
     # -- lifecycle -----------------------------------------------------------
     def begin(self, core: EventCore) -> None:
@@ -897,9 +872,8 @@ class AsyncPolicy:
         self._in_flight: dict[int, Dispatch] = {}
         self._pending: list[Dispatch] = []
         self._results: dict[int, tuple] = {}
-        self._handles = {}
-        self._jobs = {}
-        self._busy: dict[int, int] = {}
+        self._handles: dict[int, object] = {}
+        self._jobs: dict[int, ClientJob] = {}
         self._state = {"dispatched": 0, "version": 0, "applied": 0}
         self._completed = 0
         self._round_idx = 0
@@ -910,10 +884,10 @@ class AsyncPolicy:
         # every job through the contract (so it works on every backend)
         buf0 = ctx.model.get_buffers(copy=True) if ctx.model.buffers else None
         self._buffers = buf0
-        self._burst = []
-        self._tracker = IdleTracker(ctx.num_clients) if self.fast_path else None
+        self._burst: list[tuple[int, ClientJob]] = []
+        self._tracker = IdleTracker(ctx.num_clients)
         self._t0 = time.perf_counter()
-        self._issue(core, min(self.concurrency, self.max_updates))
+        self._dispatch_many(core, min(self.concurrency, self.max_updates))
         self._submit_burst(core)
 
     def finish(self, core: EventCore) -> None:
@@ -923,48 +897,23 @@ class AsyncPolicy:
         raise TypeError("the async policy schedules no deadline ticks")
 
     # -- dispatch ------------------------------------------------------------
-    def _issue(self, core: EventCore, n: int) -> None:
-        """Issue ``n`` dispatches: one vectorized planning pass when the
-        fast path is on, else ``n`` scalar :meth:`dispatch` calls."""
+    def _dispatch_many(self, core: EventCore, n: int) -> None:
+        """Issue ``n`` dispatches, planned in one pass (no-op for ``n <= 0``).
+
+        Picks stay sequential — each draw must see the busy marks of the
+        ones before it — through an O(log N) Fenwick rank lookup; the
+        latency draws batch through ``sample_many`` and the completion
+        events enter the clock through one ``push_many``.  Within a burst
+        ``clock.now`` is frozen and state snapshots are read-only, so the
+        result equals issuing the dispatches one at a time, in the history
+        and in the journal.
+        """
         if n <= 0:
             return
-        if self.fast_path:
-            self._dispatch_many(core, n)
-        else:
-            for _ in range(n):
-                self.dispatch(core)
-
-    def _tracker_for(self, core: EventCore) -> IdleTracker:
-        """The idle tracker, rebuilt lazily from ``_busy`` when absent.
-
-        Runs resumed from snapshots that predate the fast path (and
-        policies whose ``fast_path`` was flipped after construction) land
-        here with ``_tracker`` unset; the tracker is pure densified
-        ``_busy`` state, so rebuilding it mid-run is exact.
-        """
-        tracker = getattr(self, "_tracker", None)
-        if tracker is None:
-            tracker = IdleTracker(core.ctx.num_clients, busy=self._busy)
-            self._tracker = tracker
-        return tracker
-
-    def _dispatch_many(self, core: EventCore, n: int) -> None:
-        """Vectorized dispatch planning: one pass for an ``n``-dispatch burst.
-
-        Bit-identical to ``n`` scalar :meth:`dispatch` calls (pinned by
-        ``tests/test_fastpath.py``): picks stay sequential — each draw must
-        see the busy marks of the ones before it — but the O(population)
-        idle-list rebuild becomes an O(log N) Fenwick rank lookup, the
-        latency draws batch through ``sample_many``, and the completion
-        events enter the clock through one ``push_many``.  Within a burst
-        ``clock.now`` is frozen and state snapshots are read-only, so
-        regrouping picks/draws/hooks/pushes across the burst's dispatches
-        is unobservable in both the history and the journal.
-        """
         ctx, cfg = core.ctx, core.ctx.config
-        st, busy = self._state, self._busy
+        st = self._state
         prof = core.profiler
-        tracker = self._tracker_for(core)
+        tracker = self._tracker
         t0 = time.perf_counter() if prof is not None else 0.0
         seq0 = st["dispatched"]
         cids: list[int] = []
@@ -974,9 +923,7 @@ class AsyncPolicy:
                 # index, so the schedule is independent of execution details
                 rng = keyed_rng(cfg.seed, 0xA7, seq0 + i)
                 if tracker.n_idle > 0:
-                    # rank draw -> j-th smallest idle id, which is exactly
-                    # what indexing the scalar path's ascending idle
-                    # comprehension returned
+                    # rank draw -> the j-th smallest idle id
                     cid = tracker.kth_idle(int(rng.integers(tracker.n_idle)))
                 else:  # concurrency exceeds the client pool
                     cid = int(rng.integers(ctx.num_clients))
@@ -986,8 +933,7 @@ class AsyncPolicy:
                     ids = np.arange(ctx.num_clients, dtype=np.int64)
                 cid = int(self.sampler.pick_next(ids, core.clock.now))
             cids.append(cid)
-            busy[cid] = busy.get(cid, 0) + 1
-            tracker.mark_busy(cid)
+            tracker.occupy(cid)
         st["dispatched"] = seq0 + n
         if prof is not None:
             t1 = time.perf_counter()
@@ -1001,7 +947,8 @@ class AsyncPolicy:
         if n == 1:
             # steady-state refills are single dispatches: the scalar draw is
             # what sample_many reduces to (pinned), the single schedule() is
-            # what push_many reduces to, and no burst lists are built
+            # what push_many reduces to, and no burst lists are built (the
+            # perfbench async-100k workload loses ~14% updates/s without it)
             cid = cids[0]
             lat = float(self.latency_model.latency(cid, seq0))
             if prof is not None:
@@ -1074,68 +1021,6 @@ class AsyncPolicy:
         if prof is not None:
             prof.add("job_build", time.perf_counter() - t0)
 
-    def dispatch(self, core: EventCore) -> None:
-        """Scalar single-dispatch path (``fast_path`` off; kept bit-equal
-        to :meth:`_dispatch_many` with ``n=1`` by the fast-path tests)."""
-        ctx, cfg = core.ctx, core.ctx.config
-        st, busy = self._state, self._busy
-        prof = core.profiler
-        t0 = time.perf_counter() if prof is not None else 0.0
-        avail = np.array(
-            [k for k in range(ctx.num_clients) if not busy.get(k)], dtype=np.int64
-        )
-        if avail.size == 0:  # concurrency exceeds the client pool
-            avail = np.arange(ctx.num_clients, dtype=np.int64)
-        if self.sampler is None:
-            # choose among idle clients with a stream keyed by dispatch
-            # index, so the schedule is independent of execution details
-            rng = keyed_rng(cfg.seed, 0xA7, st["dispatched"])
-            cid = int(avail[rng.integers(avail.size)])
-        else:
-            cid = int(self.sampler.pick_next(avail, core.clock.now))
-        seq = st["dispatched"]
-        st["dispatched"] += 1
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("pick", t1 - t0)
-            t0 = t1
-        lat = self.latency_model.latency(cid, seq)
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("latency", t1 - t0)
-            t0 = t1
-        d = Dispatch(
-            seq=seq, client_id=cid, round_idx=seq, issued_at=core.clock.now,
-            version=st["version"], x_ref=core.x,
-            state=core.state_store.snapshot(cid),
-            state_version=core.state_store.version(cid),
-        )
-        core.post(lat, Completion(d, float(lat)), client_id=cid)
-        self._in_flight[seq] = d
-        busy[cid] = busy.get(cid, 0) + 1
-        tracker = getattr(self, "_tracker", None)
-        if tracker is not None:
-            tracker.mark_busy(cid)
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("heap", t1 - t0)
-            prof.dispatches += 1
-            t0 = t1
-        job = self._make_job(core, d)
-        if self._streaming_active(core):
-            # eager hand-off: workers start computing while the event loop
-            # keeps processing; the result still applies at virtual arrival.
-            # Dispatches issued back-to-back (the begin() prime, a refill
-            # burst after a completion) accumulate and go to the backend as
-            # one submit_many at the end of the burst, so batching
-            # transports amortize a round-trip across them.
-            self._burst.append((seq, job))
-        else:
-            self._pending.append(d)
-            self._jobs[seq] = job
-        if prof is not None:
-            prof.add("job_build", time.perf_counter() - t0)
-
     def _submit_burst(self, core: EventCore) -> None:
         """Hand the accumulated dispatch burst to the backend in one call."""
         if not self._burst:
@@ -1155,9 +1040,9 @@ class AsyncPolicy:
         Every input is stamped when the dispatch is issued: the broadcast
         vector and client state come off the dispatch, the buffer EMA is
         copied (it mutates in place as later completions land) and the
-        broadcast state packed (a deep copy).  Streaming and lazy-batch
-        execution therefore see identical inputs, which is what keeps their
-        histories bit-identical.
+        broadcast state packed (a deep copy).  Streamed and lazy-batch
+        execution therefore see identical inputs, which is what keeps
+        histories bit-identical across backends.
         """
         buffers = (
             {k: v.copy() for k, v in self._buffers.items()}
@@ -1181,7 +1066,7 @@ class AsyncPolicy:
     def _streaming_active(self, core: EventCore) -> bool:
         # live-state backends keep the lazy-batch path: in-process compute
         # has nothing to overlap with, and batching amortizes bookkeeping
-        return self.streaming and not core.backend.shares_state
+        return not core.backend.shares_state
 
     def _drain(self, core: EventCore, block: bool = False) -> None:
         """Move finished streaming jobs from the backend into ``_results``."""
@@ -1243,7 +1128,7 @@ class AsyncPolicy:
     def flush(self, core: EventCore) -> None:
         """Compute every pending dispatch through the execution backend.
 
-        The lazy-batch path (streaming off, and always the serial backend):
+        The lazy-batch path of backends that share live state (serial):
         dispatches accumulate until a completion needs a result, so
         FedBuff-style runs batch many jobs per backend call.  Jobs carry
         dispatch-time broadcast state; when the backend executes against
@@ -1280,13 +1165,7 @@ class AsyncPolicy:
         cid = d.client_id
         if new_state is not None:  # commit() is a no-op for None state
             core.state_store.commit(cid, new_state, expected_version=d.state_version)
-        if self._busy.get(cid, 0) <= 1:
-            self._busy.pop(cid, None)
-        else:
-            self._busy[cid] -= 1
-        tracker = getattr(self, "_tracker", None)
-        if tracker is not None:
-            tracker.mark_idle(cid)
+        self._tracker.release(cid)
 
         tau = st["version"] - d.version
         if prof is not None:
@@ -1323,8 +1202,8 @@ class AsyncPolicy:
         # refill up to the (possibly AIMD-adjusted) in-flight limit; when the
         # limit drops, replacements pause until the population drains.  Each
         # dispatch shrinks both headrooms by one, so the burst size is just
-        # the smaller of the two — equivalent to the old per-dispatch loop.
-        self._issue(
+        # the smaller of the two.
+        self._dispatch_many(
             core,
             min(self.max_updates - st["dispatched"], limit - len(self._in_flight)),
         )

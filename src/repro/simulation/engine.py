@@ -26,7 +26,6 @@ __all__ = [
     "History",
     "FederatedSimulation",
     "evaluate_into_record",
-    "BufferAverager",
     "attach_train_loss",
 ]
 
@@ -47,38 +46,6 @@ def attach_train_loss(algorithm, update) -> "object":
         update.extras["train_loss"] = float(loss)
     return update
 
-
-class BufferAverager:
-    """Per-round FedAvg-with-BN treatment of model buffers.
-
-    BatchNorm-style running statistics: each client starts from the server's
-    buffers; the server averages the post-training buffers afterwards.  A
-    no-op for buffer-free models.  Shared by the synchronous and semi-sync
-    engines so the treatment can't drift between them.
-    """
-
-    def __init__(self, model: Module) -> None:
-        self.model = model
-        self.active = bool(model.buffers)
-        self.n = 0
-        if self.active:
-            self.buf0 = model.get_buffers(copy=True)
-            self.acc = {k: np.zeros_like(v) for k, v in self.buf0.items()}
-
-    def before_client(self) -> None:
-        if self.active:
-            self.model.set_buffers(self.buf0)
-
-    def after_client(self) -> None:
-        self.n += 1
-        if self.active:
-            for name, v in self.model.buffers.items():
-                self.acc[name] += v
-
-    def commit(self) -> None:
-        if self.active:
-            inv = 1.0 / max(self.n, 1)
-            self.model.set_buffers({k: v * inv for k, v in self.acc.items()})
 
 MetricHook = Callable[[SimulationContext, int, np.ndarray, dict], None]
 

@@ -1,17 +1,14 @@
 """Execution-backend layer: job contract, backend equivalence, sweeps.
 
-The PR-4 equivalence suite (old-vs-new event core) extended one axis: every
-engine kind must produce *bit-identical* histories on the serial,
+Every engine kind must produce *bit-identical* histories on the serial,
 process-pool and thread backends — including stateful methods (SCAFFOLD
-under FedBuff) and BatchNorm buffer tracking, the two workloads the old
-worker-pool path could not run at all.
+under FedBuff) and BatchNorm buffer tracking.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -33,17 +30,17 @@ from repro.nn import make_mlp
 from repro.parallel import (
     BACKENDS,
     ClientJob,
-    ClientResult,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
     resolve_backend,
-    resolve_streaming,
 )
 from repro.runtime import AsyncFederatedSimulation, LognormalLatency
+from repro.runtime.events import AsyncPolicy
 from repro.simulation import FederatedSimulation, FLConfig
+from test_golden_histories import assert_golden
 
 KINDS = ("sync", "semisync", "fedasync", "fedbuff")
 BACKEND_NAMES = ("serial", "process", "thread")
@@ -158,8 +155,8 @@ class TestJobContract:
                       broadcast_state=algo.pack_broadcast_state())
             for k in range(3)
         ]
-        a = backend.run_jobs(jobs)
-        b = backend.run_jobs(list(reversed(jobs)))
+        a = [r for _, r in backend.collect(backend.submit_many(jobs))]
+        b = [r for _, r in backend.collect(backend.submit_many(jobs[::-1]))]
         for res, rev in zip(a, reversed(b)):
             np.testing.assert_array_equal(
                 res.update.displacement, rev.update.displacement
@@ -272,69 +269,42 @@ class TestJobContract:
 
 
 class TestStreamingEquivalence:
-    """Streaming dispatch must be invisible in results: every history and
-    final parameter vector bit-identical to the lazy-batch path, because
-    both modes stamp all job inputs at dispatch time."""
+    """Streamed dispatch is invisible in results: the process and thread
+    backends submit each job as its dispatch is issued, the serial backend
+    computes lazy batches, and all of them reproduce the golden history
+    (recorded on the serial backend) because every job is stamped from
+    dispatch-time state."""
 
     @pytest.mark.parametrize("kind", ("fedasync", "fedbuff"))
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_stream_matches_batch(self, kind, backend):
-        stream = run(_spec(kind, backend=backend, streaming=True))
-        batch = run(_spec(kind, backend=backend, streaming=False))
-        assert_history_equal(stream.history, batch.history)
-        np.testing.assert_array_equal(stream.final_params, batch.final_params)
+        res = run(_spec(kind, backend=backend))
+        assert_golden(f"spec-{kind}-lognormal", res.history, res.final_params)
 
-    @pytest.mark.parametrize("kind,method,kwargs", [
-        ("fedbuff", "scaffold", {"buffer_size": 3}),  # packed client state
-        ("fedasync", "feddyn", None),                 # stateful duals
-    ])
-    def test_stream_matches_batch_stateful(self, kind, method, kwargs):
-        stream = run(_spec(kind, method=method, method_kwargs=kwargs,
-                           backend="process", streaming=True))
-        batch = run(_spec(kind, method=method, method_kwargs=kwargs,
-                          backend="process", streaming=False))
-        assert_history_equal(stream.history, batch.history)
-        np.testing.assert_array_equal(stream.final_params, batch.final_params)
+    @pytest.mark.parametrize("backend,outstanding", [("thread", 3), ("serial", 0)])
+    def test_streamed_dispatch_overlaps_compute(self, backend, outstanding,
+                                                monkeypatch):
+        """Backends with their own replicas get every job the moment its
+        dispatch is issued, so when the first completion is applied the
+        whole prime burst (concurrency 3) is already submitted; the serial
+        backend computes lazily and has submitted nothing."""
+        seen = []
+        apply = AsyncPolicy.on_completion
 
-    @pytest.mark.parametrize("kind", ("sync", "semisync"))
-    def test_round_kinds_unaffected_by_streaming_env(self, kind, monkeypatch):
-        """Round policies dispatch whole cohorts (submit+collect is already
-        eager there): the ambient REPRO_STREAMING default must be a no-op."""
-        monkeypatch.setenv("REPRO_STREAMING", "1")
-        on = run(_spec(kind, backend="thread"))
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        off = run(_spec(kind, backend="thread"))
-        assert_history_equal(on.history, off.history)
-        np.testing.assert_array_equal(on.final_params, off.final_params)
+        def spy(policy, core, comp, now):
+            if not seen:
+                seen.append(len(policy._handles))
+            return apply(policy, core, comp, now)
+
+        monkeypatch.setattr(AsyncPolicy, "on_completion", spy)
+        run(_spec("fedbuff", backend=backend))
+        assert seen == [outstanding]
 
     def test_streaming_knob_forbidden_for_round_kinds(self):
-        with pytest.raises(ValueError, match="streaming"):
-            RuntimeSpec(kind="sync", streaming=True)
-        with pytest.raises(ValueError, match="streaming"):
-            RuntimeSpec(kind="semisync", streaming=False)
-
-    def test_resolve_streaming_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMING", raising=False)
-        assert resolve_streaming(None) is True
-        assert resolve_streaming(False) is False
-        monkeypatch.setenv("REPRO_STREAMING", "0")
-        # env applies only to opted-in (spec facade) resolution ...
-        assert resolve_streaming(None) is True
-        assert resolve_streaming(None, env=True) is False
-        # ... and an explicit value always wins
-        assert resolve_streaming(True, env=True) is True
-        monkeypatch.setenv("REPRO_STREAMING", "maybe")
-        with pytest.raises(ValueError, match="REPRO_STREAMING"):
-            resolve_streaming(None, env=True)
-
-
-class _LegacyOnlyBackend(ExecutionBackend):
-    """Third-party style backend that predates submit/collect."""
-
-    name = "legacy"
-
-    def run_jobs(self, jobs):
-        return [ClientResult(update=("ran", j.client_id)) for j in jobs]
+        # whether work streams follows the backend; there is no knob to set
+        for kind in ("sync", "semisync"):
+            with pytest.raises(ValueError, match="unknown key.*streaming"):
+                ExperimentSpec.from_dict({"runtime": {"kind": kind, "streaming": True}})
 
 
 class _HollowBackend(ExecutionBackend):
@@ -343,7 +313,7 @@ class _HollowBackend(ExecutionBackend):
 
 class TestStreamingAPI:
     """The submit/collect contract itself: ordering, blocking semantics,
-    submission-time stamping, and the legacy run_jobs fallback."""
+    submission-time stamping."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -378,7 +348,7 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound("serial", ds, cfg)
         with backend:
-            results = backend.run_jobs(self._jobs(ctx))
+            results = [r for _, r in backend.collect(backend.submit_many(self._jobs(ctx)))]
         return [r.update.displacement for r in results]
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -474,39 +444,14 @@ class TestStreamingAPI:
                 assert res.timing["compute_s"] > 0.0
                 assert res.timing["pickle_bytes"] > 0
 
-    def test_legacy_run_jobs_backend_falls_back(self):
-        backend = _LegacyOnlyBackend()
-        jobs = [
-            ClientJob(round_idx=0, client_id=k, x_ref=np.zeros(1))
-            for k in range(3)
-        ]
-        with pytest.warns(DeprecationWarning, match="run_jobs"):
-            handles = [backend.submit(j) for j in jobs]
-        # nothing ran yet; a non-blocking collect has nothing to return
-        assert backend.collect(handles, block=False) == []
-        pairs = backend.collect(handles, block=True)
-        assert [h for h, _ in pairs] == handles
-        assert [r.update for _, r in pairs] == [
-            ("ran", 0), ("ran", 1), ("ran", 2)]
-
-    def test_legacy_warns_once(self):
-        backend = _LegacyOnlyBackend()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for j in range(3):
-                backend.submit(
-                    ClientJob(round_idx=0, client_id=j, x_ref=np.zeros(1))
-                )
-        assert sum(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) == 1
-
     def test_backend_with_neither_api_raises(self):
         job = ClientJob(round_idx=0, client_id=0, x_ref=np.zeros(1))
-        with pytest.raises(NotImplementedError, match="neither"):
+        with pytest.raises(NotImplementedError, match="submit"):
             _HollowBackend().submit(job)
-        with pytest.raises(NotImplementedError, match="neither"):
-            _HollowBackend().run_jobs([job])
+        with pytest.raises(NotImplementedError, match="submit"):
+            _HollowBackend().submit_many([job])
+        with pytest.raises(NotImplementedError, match="collect"):
+            _HollowBackend().collect(block=False)
 
 
 class TestBackendLifecycle:

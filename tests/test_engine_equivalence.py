@@ -1,12 +1,11 @@
-"""Old-vs-new engine equivalence, trickle-in accounting, per-dispatch sampling.
+"""Engine-kind histories, trickle-in accounting, per-dispatch sampling.
 
-The event-core refactor (:mod:`repro.runtime.events`) re-founded all four
-engine kinds on one loop.  For the pre-existing knob space the histories
-must be *bit-identical* to the retired loops — pinned here against frozen
-verbatim copies of the old code (``tests/_legacy_engines.py``) across
-engine kinds x methods x seeds.  The new knobs (trickle-in late policy,
-async per-dispatch samplers, stateful methods under async) get their own
-behavioural tests below.
+The event core (:mod:`repro.runtime.events`) runs all four engine kinds on
+one loop.  Each kind's histories across methods x seeds (and semisync's
+deadline settings, async's adaptive concurrency) must equal the committed
+golden histories (``test_golden_histories.py``).  The newer knobs
+(trickle-in late policy, async per-dispatch samplers, stateful methods under
+async) get their own behavioural tests below.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _legacy_engines import legacy_async_run, legacy_semisync_run, legacy_sync_run
 from repro.algorithms import AsyncAdapter, make_method
 from repro.data import load_federated_dataset
 from repro.nn import make_mlp
 from repro.runtime import (
     AsyncFederatedSimulation,
-    ConcurrencyController,
-    DeadlineController,
     FastFirstSampler,
     LatencyModel,
     LognormalLatency,
@@ -29,7 +25,9 @@ from repro.runtime import (
     SemiSyncFederatedSimulation,
     UtilitySampler,
 )
-from repro.simulation import FederatedSimulation, FLConfig
+from repro.simulation import FLConfig
+from test_backends import assert_history_equal
+from test_golden_histories import check_case
 
 SEEDS = (0, 1)
 
@@ -53,53 +51,11 @@ def _cfg(seed=0, **kw):
     return FLConfig(**base)
 
 
-def _eq(a, b) -> bool:
-    """Exact equality, NaN == NaN, arrays element-wise."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=False) or (
-            np.asarray(a).shape == np.asarray(b).shape
-            and bool(np.all((np.asarray(a) == np.asarray(b))
-                            | (np.isnan(np.asarray(a, dtype=float))
-                               & np.isnan(np.asarray(b, dtype=float)))))
-    )
-    if isinstance(a, float) and isinstance(b, float) and np.isnan(a) and np.isnan(b):
-        return True
-    return a == b
-
-
-def assert_history_equal(new, old):
-    """Bit-identical histories, wall_time excluded (it measures real time)."""
-    assert new.algorithm == old.algorithm
-    assert len(new.records) == len(old.records)
-    for rn, ro in zip(new.records, old.records):
-        assert type(rn) is type(ro)
-        for f in ("round", "test_accuracy", "test_loss", "virtual_time",
-                  "staleness", "concurrency", "updates_applied"):
-            if hasattr(ro, f):
-                assert _eq(getattr(rn, f), getattr(ro, f)), f
-        assert _eq(rn.selected, ro.selected)
-        if ro.per_class_accuracy is not None:
-            assert _eq(rn.per_class_accuracy, ro.per_class_accuracy)
-        assert set(rn.extras) == set(ro.extras)
-        for k, v in ro.extras.items():
-            assert _eq(rn.extras[k], v), k
-
-
 class TestSyncEquivalence:
     @pytest.mark.parametrize("method", ["fedavg", "scaffold", "fedcm"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_bit_identical(self, ds, method, seed):
-        b = make_method(method)
-        new = FederatedSimulation(
-            b.algorithm, _model(seed), ds, _cfg(seed),
-            loss_builder=b.loss_builder, sampler_builder=b.sampler_builder,
-        ).run()
-        b2 = make_method(method)
-        old = legacy_sync_run(
-            b2.algorithm, _model(seed), ds, _cfg(seed),
-            loss_builder=b2.loss_builder, sampler_builder=b2.sampler_builder,
-        )
-        assert_history_equal(new, old)
+    def test_bit_identical(self, method, seed):
+        check_case(f"sync-{method}-s{seed}")
 
 
 class TestSemiSyncEquivalence:
@@ -108,32 +64,12 @@ class TestSemiSyncEquivalence:
     @pytest.mark.parametrize("deadline,late_weight", [
         (None, 0.0), (0.05, 0.0), (0.05, 0.5),
     ])
-    def test_bit_identical(self, ds, method, seed, deadline, late_weight):
-        new = SemiSyncFederatedSimulation(
-            make_method(method).algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            deadline=deadline, late_weight=late_weight,
-        ).run()
-        old = legacy_semisync_run(
-            make_method(method).algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            deadline=deadline, late_weight=late_weight,
-        )
-        assert_history_equal(new, old)
+    def test_bit_identical(self, method, seed, deadline, late_weight):
+        check_case(f"semisync-{method}-s{seed}-d{deadline}-w{late_weight}")
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_adaptive_deadline_bit_identical(self, ds, seed):
-        new = SemiSyncFederatedSimulation(
-            make_method("fedavg").algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            deadline=DeadlineController(target_drop_rate=0.3),
-        ).run()
-        old = legacy_semisync_run(
-            make_method("fedavg").algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            deadline_controller=DeadlineController(target_drop_rate=0.3),
-        )
-        assert_history_equal(new, old)
+    def test_adaptive_deadline_bit_identical(self, seed):
+        check_case(f"semisync-adaptive-s{seed}")
 
 
 class TestAsyncEquivalence:
@@ -142,20 +78,8 @@ class TestAsyncEquivalence:
     ])
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("adaptive", [False, True])
-    def test_bit_identical(self, ds, method, kwargs, seed, adaptive):
-        ctrl = ConcurrencyController(staleness_budget=2.0) if adaptive else None
-        new = AsyncFederatedSimulation(
-            make_method(method, **kwargs).algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            concurrency_controller=ctrl,
-        ).run()
-        ctrl = ConcurrencyController(staleness_budget=2.0) if adaptive else None
-        old = legacy_async_run(
-            make_method(method, **kwargs).algorithm, _model(seed), ds, _cfg(seed),
-            latency_model=LognormalLatency(sigma=1.0),
-            concurrency_controller=ctrl,
-        )
-        assert_history_equal(new, old)
+    def test_bit_identical(self, method, kwargs, seed, adaptive):
+        check_case(f"async-{method}-s{seed}-{'adaptive' if adaptive else 'fixed'}")
 
 
 class FixedLatency(LatencyModel):

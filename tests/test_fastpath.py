@@ -1,15 +1,13 @@
-"""The vectorized control plane is bit-identical to the scalar dispatch path.
-
-Pins the PR's keystone claims:
+"""The vectorized async control plane and its building blocks.
 
 * ``LatencyModel.sample_many`` equals per-element ``latency()`` for every
   registered model (same RNG stream discipline, batched);
-* ``IdleTracker`` rank selection equals indexing the scalar path's
-  ascending idle comprehension, under arbitrary busy/idle churn;
+* ``IdleTracker`` rank selection equals indexing the ascending list of idle
+  ids, under arbitrary busy/idle churn;
 * ``VirtualClock.push_many`` pops in the same order as sequential
   ``schedule`` calls (both below and above the heapify threshold);
-* fast-path engine histories are bit-identical to scalar ones across the
-  async kinds, latency models, backends, samplers, and stateful methods;
+* async engine histories equal the golden histories across the async
+  kinds, latency models, backends, samplers, and stateful methods;
 * incremental sampler weights equal freshly recomputed ones after observes;
 * profiled runs journal a ``profile`` record and ``watch --summary``
   renders the ``hotpath:`` line — with histories untouched by profiling.
@@ -32,10 +30,10 @@ from repro.runtime import (
     UtilitySampler,
     VirtualClock,
     make_latency_model,
-    resolve_fast_path,
 )
 from repro.simulation import FLConfig
 from repro.simulation.context import SimulationContext
+from test_golden_histories import check_case
 
 _TINY = dict(
     data=DataSpec(clients=6, scale=0.3, beta=0.3, imbalance_factor=0.3),
@@ -59,7 +57,7 @@ def ctx(ds):
     return SimulationContext(make_mlp(32, 10, seed=0), ds, cfg)
 
 
-def _spec(kind: str, fast_path, method: str | None = None,
+def _spec(kind: str, method: str | None = None,
           backend: str = "serial", **runtime_kw) -> ExperimentSpec:
     default = {"fedasync": "fedasync", "fedbuff": "fedbuff"}[kind]
     runtime_kw.setdefault("latency", "lognormal")
@@ -67,8 +65,7 @@ def _spec(kind: str, fast_path, method: str | None = None,
         runtime_kw.setdefault("workers", 2)
     return ExperimentSpec(
         method=MethodSpec(name=method or default),
-        runtime=RuntimeSpec(kind=kind, backend=backend, fast_path=fast_path,
-                            **runtime_kw),
+        runtime=RuntimeSpec(kind=kind, backend=backend, **runtime_kw),
         **_TINY,
     )
 
@@ -79,32 +76,6 @@ def _history_key(result):
          r.concurrency, r.updates_applied, tuple(np.asarray(r.selected)))
         for r in result.history.records
     ]
-
-
-class TestResolveFastPath:
-    def test_default_on(self):
-        assert resolve_fast_path() is True
-        assert resolve_fast_path(None) is True
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        assert resolve_fast_path(True) is True
-        assert resolve_fast_path(False, env=True) is False
-
-    @pytest.mark.parametrize("raw,expect", [
-        ("1", True), ("true", True), ("on", True), ("yes", True),
-        ("0", False), ("false", False), ("off", False), ("no", False),
-    ])
-    def test_env_opt_in(self, monkeypatch, raw, expect):
-        monkeypatch.setenv("REPRO_FAST_PATH", raw)
-        assert resolve_fast_path(env=True) is expect
-        # direct engine construction never reads ambient state
-        assert resolve_fast_path(env=False) is True
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "maybe")
-        with pytest.raises(ValueError, match="REPRO_FAST_PATH"):
-            resolve_fast_path(env=True)
 
 
 class TestSampleMany:
@@ -152,29 +123,19 @@ class TestIdleTracker:
             cid = int(rng.integers(n))
             if rng.random() < 0.55:
                 busy[cid] = busy.get(cid, 0) + 1
-                tr.mark_busy(cid)
+                tr.occupy(cid)
             elif busy.get(cid, 0):
                 if busy[cid] <= 1:
                     busy.pop(cid)
                 else:
                     busy[cid] -= 1
-                tr.mark_idle(cid)
+                tr.release(cid)
             ref = [k for k in range(n) if not busy.get(k)]
             assert tr.n_idle == len(ref)
             assert tr.idle_ids().tolist() == ref
             if ref:
                 j = int(rng.integers(len(ref)))
                 assert tr.kth_idle(j) == ref[j]
-
-    def test_rebuild_from_busy_dict(self):
-        busy = {3: 2, 7: 1}
-        tr = IdleTracker(10, busy=busy)
-        assert tr.n_idle == 8
-        assert 3 not in tr.idle_ids() and 7 not in tr.idle_ids()
-        tr.mark_idle(3)
-        assert 3 not in tr.idle_ids()  # count 2 -> 1: still busy
-        tr.mark_idle(3)
-        assert 3 in tr.idle_ids()
 
     def test_rank_out_of_range(self):
         tr = IdleTracker(4)
@@ -183,7 +144,7 @@ class TestIdleTracker:
 
     def test_double_complete_is_noop(self):
         tr = IdleTracker(4)
-        tr.mark_idle(2)  # never marked busy
+        tr.release(2)  # never marked busy
         assert tr.n_idle == 4
 
 
@@ -211,52 +172,35 @@ class TestPushMany:
 
 
 class TestEngineEquivalence:
-    """Fast-path histories are bit-identical to scalar ones."""
+    """Async histories equal the golden ones (``test_golden_histories.py``)."""
 
     @pytest.mark.parametrize("kind", ("fedasync", "fedbuff"))
     @pytest.mark.parametrize(
         "latency", ("constant", "lognormal", "pareto", "dropout")
     )
     def test_serial_all_latency_models(self, kind, latency):
-        fast = run(_spec(kind, True, latency=latency))
-        scalar = run(_spec(kind, False, latency=latency))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        check_case(f"spec-{kind}-{latency}")
 
     def test_process_backend(self):
-        fast = run(_spec("fedbuff", True, backend="process"))
-        scalar = run(_spec("fedbuff", False, backend="process"))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        check_case("spec-fedbuff-process")
 
     def test_scaffold_under_fedbuff(self):
-        # stateful per-client dispatch snapshots ride the fast path too
-        fast = run(_spec("fedbuff", True, method="scaffold"))
-        scalar = run(_spec("fedbuff", False, method="scaffold"))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        # stateful per-client dispatch snapshots ride the batched planner
+        check_case("spec-fedbuff-scaffold")
 
     @pytest.mark.parametrize("sampler", ("fast", "utility"))
     def test_time_aware_samplers(self, sampler):
-        fast = run(_spec("fedasync", True, sampler=sampler))
-        scalar = run(_spec("fedasync", False, sampler=sampler))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        check_case(f"spec-fedasync-sampler-{sampler}")
 
     def test_oversubscribed_concurrency(self):
         # concurrency > clients exercises the empty-idle fallback draw
-        fast = run(_spec("fedasync", True, concurrency=9))
-        scalar = run(_spec("fedasync", False, concurrency=9))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        check_case("spec-fedasync-oversubscribed")
 
     def test_forbidden_for_round_kinds(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            ExperimentSpec(
-                method=MethodSpec(name="fedavg"),
-                runtime=RuntimeSpec(kind="sync", fast_path=True),
-                **_TINY,
-            )
+        # one dispatch planner: there is no knob to select another, on any kind
+        for kind in ("sync", "semisync", "fedasync"):
+            with pytest.raises(ValueError, match="unknown key.*fast_path"):
+                ExperimentSpec.from_dict({"runtime": {"kind": kind, "fast_path": True}})
 
 
 class TestSamplerWeightCache:
@@ -294,17 +238,8 @@ class TestSamplerWeightCache:
 
 
 class TestProfiler:
-    def _recorded(self, tmp_path, fast_path=True):
-        spec = _spec("fedbuff", fast_path)
-        spec = ExperimentSpec(
-            method=spec.method,
-            runtime=RuntimeSpec(
-                kind="fedbuff", latency="lognormal", fast_path=fast_path,
-                record=True, run_dir=str(tmp_path / f"run_{fast_path}"),
-            ),
-            **_TINY,
-        )
-        return run(spec)
+    def _recorded(self, tmp_path):
+        return run(_spec("fedbuff", record=True, run_dir=str(tmp_path / "run")))
 
     def test_profile_journaled_and_summarized(self, tmp_path):
         res = self._recorded(tmp_path)
@@ -314,7 +249,7 @@ class TestProfiler:
         assert res.profile["wall_s"] > 0
         # every attributed second is one of the declared phases
         store = MetricsStore.from_journal(
-            str(tmp_path / "run_True" / "journal.jsonl")
+            str(tmp_path / "run" / "journal.jsonl")
         )
         assert store.profile is not None
         assert store.profile["type"] == "profile"
@@ -325,7 +260,7 @@ class TestProfiler:
 
     def test_profiling_does_not_change_history(self, tmp_path):
         recorded = self._recorded(tmp_path)
-        plain = run(_spec("fedbuff", True))
+        plain = run(_spec("fedbuff"))
         assert _history_key(recorded) == _history_key(plain)
         np.testing.assert_array_equal(
             recorded.final_params, plain.final_params

@@ -2,7 +2,7 @@
 
 These are the library's end-to-end contracts: each test runs full federated
 training and checks a directional property the paper reports.  Magnitudes
-are substrate-dependent (see EXPERIMENTS.md) — the assertions encode the
+are substrate-dependent (-lite datasets, small models) — the assertions encode the
 *shape* of each claim.
 """
 

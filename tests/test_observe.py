@@ -215,6 +215,22 @@ class TestResume:
         assert store.resumes == 1
         assert store.ended and not store.stopped
 
+    def test_resume_refuses_other_snapshot_schema(self, tmp_path):
+        """A snapshot written under another schema (say, before the async
+        policy's pickled attributes changed) is refused, not half-restored."""
+        from repro.observe.snapshot import (
+            SNAPSHOT_SCHEMA_VERSION, latest_snapshot, load_snapshot, save_snapshot,
+        )
+
+        rdir = str(tmp_path / "run")
+        run(_spec("fedbuff", run_dir=rdir), stop_after_rounds=1)
+        path = latest_snapshot(rdir)
+        snap = load_snapshot(path)
+        snap["schema"] = SNAPSHOT_SCHEMA_VERSION - 1
+        save_snapshot(path, snap)
+        with pytest.raises(ValueError, match="snapshot schema"):
+            resume_run(rdir)
+
     def test_resume_without_snapshots_raises(self, tmp_path):
         rdir = tmp_path / "never_recorded"
         os.makedirs(rdir)

@@ -10,12 +10,15 @@ Covers the transport optimizations behind the clients-per-second bench:
   unlink of superseded versions, unlink-on-close;
 * lazy :class:`~repro.runtime.events.ClientStateStore` — packed state
   materializes on first dispatch only, so memory is O(active clients);
-* the pinned legacy ``collect(block=False)`` semantics — never starts
-  work, never raises;
+* the pinned ``collect(block=False)`` contract on the thread and process
+  backends — never waits on unfinished work, never raises;
 * ``submit_many`` chunking and transport accounting on the pool backend.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +32,8 @@ from repro.parallel import (
     ArrayRef,
     BroadcastStore,
     ClientJob,
-    ExecutionBackend,
     ProcessPoolBackend,
+    ThreadBackend,
     build_job_runtime,
     resolve_job_batch,
     resolve_job_refs,
@@ -187,7 +190,7 @@ class TestLazyClientState:
 
 
 # ---------------------------------------------------------------------------
-# the pinned legacy collect(block=False) contract + submit_many chunking
+# the pinned collect(block=False) contract + submit_many chunking
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_runtime():
@@ -209,48 +212,60 @@ def _jobs(ctx, algo, n: int) -> list[ClientJob]:
     ]
 
 
-class _LegacyBackend(ExecutionBackend):
-    """run_jobs-only backend: exercises the base-class legacy fallback."""
+class _GatedThreadBackend(ThreadBackend):
+    """Thread backend whose jobs wait on a gate before computing."""
 
-    name = "legacy"
+    def __init__(self, workers=None):
+        super().__init__(workers)
+        self.gate = threading.Event()
 
-    def __init__(self):
-        self.batches_run = 0
-
-    def bind(self, ctx, algorithm, **_):
-        self._ctx, self._algo = ctx, algorithm
-        return self
-
-    def run_jobs(self, jobs):
-        from repro.parallel import execute_client_job
-
-        self.batches_run += 1
-        return [execute_client_job(self._ctx, self._algo, j) for j in jobs]
+    def _run_one(self, job):
+        assert self.gate.wait(60), "gate never opened"
+        return super()._run_one(job)
 
 
 class TestCollectContract:
-    def test_legacy_nonblocking_never_starts_work_never_raises(self, tiny_runtime):
+    @pytest.mark.parametrize("name", ("thread", "process"))
+    def test_nonblocking_never_waits_never_raises(self, tiny_runtime, name):
+        """``collect(block=False)`` only reports finished work: it never
+        raises for a handle that is unknown, in flight or already collected,
+        and returns each handle at most once."""
         ds, cfg = tiny_runtime
         ctx, algo = build_job_runtime(
             lambda: make_mlp(32, 10, seed=0), ds, cfg,
             algo_builder=lambda: make_method("fedavg").algorithm,
         )
-        with pytest.warns(DeprecationWarning, match="batch API"):
-            backend = _LegacyBackend().bind(ctx, algo)
-            handles = [backend.submit(j) for j in _jobs(ctx, algo, 3)]
-        # non-blocking: nothing ran, nothing raised — not even for a handle
-        # the backend has never seen
-        assert backend.collect(handles, block=False) == []
-        assert backend.collect(block=False) == []
-        bogus = type(handles[0])(seq=10_000, job=handles[0].job)
-        assert backend.collect([bogus], block=False) == []
-        assert backend.batches_run == 0
-        # blocking runs the batch; an unknown handle now raises
-        done = backend.collect(handles, block=True)
-        assert len(done) == 3 and backend.batches_run == 1
-        with pytest.raises(KeyError):
-            backend.collect([bogus], block=True)
-        assert backend.collect([bogus], block=False) == []
+        backend = _GatedThreadBackend(workers=2) if name == "thread" else (
+            ProcessPoolBackend(workers=2)
+        )
+        try:
+            backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
+            handles = backend.submit_many(_jobs(ctx, algo, 3))
+            bogus = type(handles[0])(seq=10_000, job=handles[0].job)
+            assert backend.collect([bogus], block=False) == []
+            if name == "thread":
+                # nothing can finish while the gate is shut: a non-blocking
+                # collect returns at once, empty-handed
+                assert backend.collect(handles, block=False) == []
+                assert backend.collect(block=False) == []
+                backend.gate.set()
+            got = {}
+            deadline = time.monotonic() + 120
+            while len(got) < len(handles) and time.monotonic() < deadline:
+                for h, res in backend.collect(handles, block=False):
+                    assert h not in got
+                    got[h] = res
+            assert set(got) == set(handles)
+            assert backend.collect(handles, block=False) == []
+            with pytest.raises(KeyError):
+                backend.collect([bogus], block=True)
+            with pytest.raises(KeyError):
+                backend.collect([handles[0]], block=True)  # already collected
+            assert backend.collect([bogus], block=False) == []
+        finally:
+            if name == "thread":
+                backend.gate.set()
+            backend.close()
 
     def test_pool_nonblocking_collect_never_raises(self, tiny_runtime):
         ds, cfg = tiny_runtime
